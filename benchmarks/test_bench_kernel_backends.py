@@ -5,8 +5,7 @@ the shape class of the paper's n=16 runs) three ways:
 
 * the historical inline NumPy loop (frozen here, as in the unit tests),
 * the fused ``numpy64`` reference backend,
-* the fused float32 backends (``numpy32``/``native32``, plus ``numba``
-  when installed),
+* the fused float32 backends (``numpy32``/``native32``),
 
 plus a **batched** section: ``B`` independent problems advanced through
 one :class:`~repro.ising.kernels.BlockBatch` (the cross-job fusion
@@ -264,10 +263,7 @@ def _batched_blockbatch(problems, pump, backend):
 
 def test_batched_blockbatch_throughput(benchmark):
     float32_backend = (
-        "native32"
-        if "native32" in available_backends()
-        and native_engine() is not None
-        else "numpy32"
+        "native32" if native_engine() is not None else "numpy32"
     )
     pump = LinearPump(A0, BATCH_ITERATIONS)
 

@@ -15,8 +15,8 @@ Commands
 ``list-solvers``
     Show the registered Ising solvers and their capabilities.
 ``list-kernels``
-    Show the SB kernel backends: availability (with the reason a
-    backend cannot be used), dtype, device, and batch support.
+    Show the SB kernel backends with their dtypes, and whether the
+    ``native32`` engine built on this machine.
 ``submit``
     Enqueue a decomposition job into a service directory, or — with
     ``--remote URL`` — into a running gateway over HTTP.
@@ -126,6 +126,7 @@ from repro.errors import ConfigurationError, GatewayError, ReproError
 from repro.fleet import FleetClient, PoolAutoscaler, RemoteWorkerAgent
 from repro.gateway import DecompositionGateway, GatewayConfig
 from repro.ising.kernels import backend_infos
+from repro.ising.kernels.native import native_engine, native_engine_error
 from repro.ising.solvers.registry import solver_info, solver_names
 from repro.loadgen.mixes import mix_names
 from repro.lut import cascade_cost_report
@@ -287,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-solvers",
                    help="list registered Ising solvers and capabilities")
     sub.add_parser("list-kernels",
-                   help="list SB kernel backends (availability, dtype, "
-                        "device, batch support)")
+                   help="list SB kernel backends (dtype, native engine "
+                        "status)")
 
     subm = sub.add_parser(
         "submit",
@@ -646,13 +647,13 @@ def _cmd_list_solvers() -> int:
 
 def _cmd_list_kernels() -> int:
     for info in backend_infos():
-        if info.available:
-            status = "available"
-        else:
-            status = f"unavailable: {info.unavailable_reason}"
-        batch = "batch" if info.supports_batch else "no-batch"
-        print(f"{info.name:<10} [{info.dtype:<7} {info.device:<4} "
-              f"{batch:<8}] {status:<12} {info.summary}")
+        print(f"{info.name:<10} [{info.dtype:<7}] {info.summary}")
+    engine = native_engine()
+    if engine is not None:
+        print(f"native32 engine: built ({engine.so_path})")
+    else:
+        print(f"native32 engine: not built ({native_engine_error()}); "
+              "native32 runs numpy32 arithmetic")
     return 0
 
 

@@ -14,11 +14,24 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnknownBackendError
 
 __all__ = ["CoreSolverConfig", "FrameworkConfig", "SWEEP_AUTO_CHUNKS"]
 
 _VALID_MODES = ("separate", "joint")
+
+#: every valid ``CoreSolverConfig.backend`` value mapped to the
+#: tolerance class it keys as.  Every float32 engine shares the
+#: ``numpy32`` tolerance contract (decoded settings are float64-scored),
+#: so results are interchangeable and the content-addressed cache must
+#: treat them as one backend.
+_SEMANTIC_BACKEND_CLASS = {
+    None: "numpy64",
+    "numpy64": "numpy64",
+    "numpy32": "numpy32",
+    "native32": "numpy32",
+}
+_BACKEND_NAMES = tuple(sorted(filter(None, _SEMANTIC_BACKEND_CLASS)))
 
 
 def _checked_fields(cls, data: dict) -> dict:
@@ -89,10 +102,11 @@ class CoreSolverConfig:
         Compute-kernel backend for the fused bSB step
         (:mod:`repro.ising.kernels`): ``"numpy64"`` (reference,
         bit-for-bit the historical inline loop), ``"numpy32"``
-        (float32 stepping, float64 scoring), or ``"numba"`` (JIT;
-        silently degrades to ``numpy64`` when numba is missing).
-        ``None`` resolves through the ``REPRO_SB_BACKEND`` environment
-        variable, which — when set — overrides this field too.
+        (float32 stepping, float64 scoring), or ``"native32"`` (the
+        compiled float32 tile engine; numpy32 arithmetic where it cannot
+        be built).  ``None`` means ``numpy64``.  This field is the only
+        input to backend selection — nothing in the environment
+        overrides it.
     trace_every:
         Keep every ``trace_every``-th sampled energy in the solver's
         ``energy_trace`` (1, the default, keeps every sample — the
@@ -161,14 +175,11 @@ class CoreSolverConfig:
             raise ConfigurationError(
                 f"trace_every must be >= 1, got {self.trace_every}"
             )
-        if self.backend is not None:
-            from repro.ising.kernels import known_backends
-
-            if self.backend not in known_backends():
-                raise ConfigurationError(
-                    f"backend must be one of {known_backends()} or None, "
-                    f"got {self.backend!r}"
-                )
+        if self.backend not in _SEMANTIC_BACKEND_CLASS:
+            raise ConfigurationError(
+                f"backend must be one of {_BACKEND_NAMES} or None, "
+                f"got {self.backend!r}"
+            )
 
     @property
     def resolved_ramp_iterations(self) -> int:
@@ -201,32 +212,19 @@ class CoreSolverConfig:
         return replace(self, **changes)
 
 
-#: engine-equivalent backends collapsed for artifact hashing: every
-#: float32 engine shares the ``numpy32`` tolerance contract (decoded
-#: settings are float64-scored), so results are interchangeable and the
-#: content-addressed cache must treat them as one backend
-_SEMANTIC_BACKEND_CLASS = {
-    "native32": "numpy32",
-    "torch": "numpy32",
-    "cupy": "numpy32",
-}
-
-
 def semantic_backend_name(backend: "Optional[str]") -> str:
-    """The resolved backend's *tolerance class* for artifact keys.
+    """The backend's *tolerance class* for artifact keys.
 
-    Resolves ``backend`` (including the ``REPRO_SB_BACKEND`` override
-    and unavailable-backend fallback), then maps accelerator float32
-    engines onto ``numpy32`` so cache keys do not fork on which device
-    happened to be plugged in.  ``numpy64`` and ``numba`` keep their
-    own names (``numba``'s fused float64 pass reorders summation, so it
-    was never bit-identical to ``numpy64`` — preserving its historical
-    key).
+    A fixed map of the config value: ``None`` and ``"numpy64"`` key as
+    ``numpy64``; ``"numpy32"`` and ``"native32"`` key as ``numpy32``.
+    It never resolves a backend or reads the environment, so a key
+    depends only on the job spec, not on the machine or process that
+    computes it.
     """
-    from repro.ising.kernels import resolve_backend
-
-    resolved = resolve_backend(backend)
-    return _SEMANTIC_BACKEND_CLASS.get(resolved, resolved)
+    try:
+        return _SEMANTIC_BACKEND_CLASS[backend]
+    except KeyError:
+        raise UnknownBackendError(backend, _BACKEND_NAMES) from None
 
 
 @dataclass(frozen=True)
@@ -358,13 +356,12 @@ class FrameworkConfig:
         the same table: ``n_workers`` only schedules the deterministic
         sweep chunks, so it is dropped; the solver's ``trace_every``
         only thins the retained energy trace, so it is dropped too; and
-        the solver ``backend`` is resolved (including the
-        ``REPRO_SB_BACKEND`` override) and then collapsed to its
-        *tolerance class* by :func:`semantic_backend_name`, because the
-        dtype changes float32-path numerics but which float32 engine
-        (``numpy32`` / ``native32`` / ``torch`` / ``cupy``) happened to
-        run must not fork artifact keys.  This is the payload the
-        service's content-addressed artifact store hashes.
+        the solver ``backend`` is collapsed to its *tolerance class* by
+        :func:`semantic_backend_name` (a fixed map of the field alone),
+        because the dtype changes float32-path numerics but which
+        float32 engine (``numpy32`` / ``native32``) runs must not fork
+        artifact keys.  This is the payload the service's
+        content-addressed artifact store hashes.
         """
         data = self.to_dict()
         data.pop("n_workers")

@@ -19,7 +19,6 @@ the model's exact offset — never the raw float trajectory energy.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,22 +41,7 @@ from repro.ising.stop_criteria import EnergyVarianceStop, FixedIterations
 from repro.ising.structured import BipartiteDecompositionModel
 from repro.obs.tracing import get_tracer
 
-__all__ = ["CoreCOPSolver", "CoreCOPSolution", "build_bsb_solver"]
-
-
-def build_bsb_solver(config: Optional[CoreSolverConfig] = None, **overrides):
-    """Deprecated ad-hoc bSB constructor from before the solver registry.
-
-    Use :meth:`CoreCOPSolver.build_solver` (the configured core path) or
-    :func:`repro.ising.solvers.registry.make_solver` directly.
-    """
-    warnings.warn(
-        "build_bsb_solver is deprecated; use CoreCOPSolver.build_solver "
-        "or repro.ising.solvers.registry.make_solver('bsb', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return CoreCOPSolver(config).build_solver(**overrides)
+__all__ = ["CoreCOPSolver", "CoreCOPSolution"]
 
 
 @dataclass

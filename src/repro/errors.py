@@ -38,13 +38,11 @@ class ConfigurationError(ReproError, ValueError):
 
 
 class UnknownBackendError(ConfigurationError):
-    """A kernel-backend name is not in the registry at all.
+    """A kernel-backend name is not one of the registered backends.
 
-    Raised by :func:`repro.ising.kernels.base.resolve_backend` for names
-    that are neither available nor known-but-unavailable — including
-    values arriving through the ``REPRO_SB_BACKEND`` environment
-    variable, which must fail loudly rather than silently fall back.
-    Carries the offending name and the valid choices.
+    Raised by :func:`repro.ising.kernels.base.resolve_backend` and
+    :func:`repro.core.config.semantic_backend_name`.  Carries the
+    offending name and the valid choices.
     """
 
     def __init__(self, requested: str, known: "tuple[str, ...]") -> None:

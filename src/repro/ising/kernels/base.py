@@ -13,65 +13,43 @@ the *arithmetic* (owned by a :class:`BipartiteSBKernel` backend):
   traffic, roughly double the GEMM throughput.  Decoded settings agree
   with ``numpy64`` in practice but trajectories are *not* bitwise
   reproducible across BLAS builds; see ``docs/architecture.md``.
-* ``numba`` — optional JIT backend; registered only when :mod:`numba`
-  imports.  Requesting it on a machine without numba falls back to
-  ``numpy64`` with a warning rather than failing.
+* ``native32`` — the compiled float32 tile engine
+  (:mod:`repro.ising.kernels.native`).
 
-Selection order: the ``REPRO_SB_BACKEND`` environment variable (when
-set) overrides everything, then the explicit ``backend=`` argument
-(usually fed from :attr:`repro.core.config.CoreSolverConfig.backend`),
-then the ``numpy64`` default.
+Selection has one source: the explicit ``backend=`` argument (fed from
+:attr:`repro.core.config.CoreSolverConfig.backend`), ``None`` meaning
+the ``numpy64`` default.  Nothing in the environment overrides it.
 """
 
 from __future__ import annotations
 
 import abc
-import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import (
-    ConfigurationError,
-    DimensionError,
-    UnknownBackendError,
-)
-from repro.obs.logconfig import get_logger
-
-logger = get_logger("repro.ising.kernels")
+from repro.errors import DimensionError, UnknownBackendError
 
 __all__ = [
     "BipartiteSBKernel",
     "BackendInfo",
-    "ENV_BACKEND",
     "DEFAULT_BACKEND",
     "available_backends",
-    "known_backends",
     "backend_info",
     "backend_infos",
     "register_backend",
     "resolve_backend",
-    "reset_fallback_warnings",
     "make_kernel",
 ]
-
-#: environment variable overriding every programmatic backend selection
-ENV_BACKEND = "REPRO_SB_BACKEND"
 
 #: the reference backend every installation has
 DEFAULT_BACKEND = "numpy64"
 
 # name -> kernel factory (weights -> BipartiteSBKernel)
 _REGISTRY: Dict[str, Callable[[np.ndarray], "BipartiteSBKernel"]] = {}
-# name -> human-readable reason a known backend is not usable here
-_UNAVAILABLE: Dict[str, str] = {}
-# name -> descriptive metadata (dtype/device/batching), for list-kernels
+# name -> descriptive metadata, for list-kernels
 _INFO: Dict[str, "BackendInfo"] = {}
-# unavailable backends already warned about this process (warn once —
-# the batched planner resolves backends per batch, and a missing numba
-# must not spam one warning per batch)
-_WARNED_FALLBACKS: Set[str] = set()
 
 
 @dataclass(frozen=True)
@@ -79,131 +57,62 @@ class BackendInfo:
     """Descriptive metadata of one registered kernel backend."""
 
     name: str
-    available: bool
     dtype: str
-    device: str
-    supports_batch: bool
     summary: str
-    unavailable_reason: Optional[str] = None
 
 
 def register_backend(
     name: str,
-    factory: Optional[Callable[[np.ndarray], "BipartiteSBKernel"]] = None,
+    factory: Callable[[np.ndarray], "BipartiteSBKernel"],
     *,
-    unavailable_reason: Optional[str] = None,
     dtype: str = "float64",
-    device: str = "cpu",
-    supports_batch: bool = True,
     summary: str = "",
 ) -> None:
-    """Register a kernel backend (or record why it cannot be used).
-
-    Exactly one of ``factory`` / ``unavailable_reason`` must be given.
-    Backends whose dependencies are missing register a reason instead of
-    a factory so :func:`resolve_backend` can degrade gracefully.  The
-    keyword metadata feeds ``repro list-kernels``.
-    """
-    if (factory is None) == (unavailable_reason is None):
-        raise ConfigurationError(
-            "register_backend needs a factory or an unavailable_reason"
-        )
-    if factory is not None:
-        _REGISTRY[name] = factory
-        _UNAVAILABLE.pop(name, None)
-    else:
-        _UNAVAILABLE[name] = unavailable_reason
-    _INFO[name] = BackendInfo(
-        name=name,
-        available=factory is not None,
-        dtype=dtype,
-        device=device,
-        supports_batch=supports_batch,
-        summary=summary,
-        unavailable_reason=unavailable_reason,
-    )
+    """Register a kernel backend; the metadata feeds ``repro list-kernels``."""
+    _REGISTRY[name] = factory
+    _INFO[name] = BackendInfo(name=name, dtype=dtype, summary=summary)
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Names of the backends usable in this environment."""
+    """Names of the registered backends."""
     return tuple(sorted(_REGISTRY))
 
 
-def known_backends() -> Tuple[str, ...]:
-    """All recognized backend names, including unavailable ones."""
-    return tuple(sorted({*_REGISTRY, *_UNAVAILABLE}))
-
-
 def backend_info(name: str) -> "BackendInfo":
-    """Metadata of one known backend (raises on unknown names)."""
+    """Metadata of one backend (raises on unknown names)."""
     try:
         return _INFO[name]
     except KeyError:
-        raise UnknownBackendError(name, known_backends()) from None
+        raise UnknownBackendError(name, available_backends()) from None
 
 
 def backend_infos() -> Tuple["BackendInfo", ...]:
-    """Metadata of every known backend, name-sorted."""
-    return tuple(_INFO[name] for name in known_backends())
+    """Metadata of every backend, name-sorted."""
+    return tuple(_INFO[name] for name in available_backends())
 
 
-def reset_fallback_warnings() -> None:
-    """Forget which unavailable-backend fallbacks were already warned
-    about (test hook)."""
-    _WARNED_FALLBACKS.clear()
+def resolve_backend(backend: Optional[str] = None) -> str:
+    """The registered backend a request names (``None`` → default).
 
-
-def resolve_backend(
-    backend: Optional[str] = None, *, ignore_env: bool = False
-) -> str:
-    """Resolve a backend request to the name of a usable backend.
-
-    ``REPRO_SB_BACKEND`` (when set and non-empty) overrides ``backend``;
-    an unavailable-but-known backend (e.g. ``numba`` without numba
-    installed) falls back to :data:`DEFAULT_BACKEND` with a warning
-    emitted once per process; an unknown name raises
-    :class:`~repro.errors.UnknownBackendError` listing the valid names
-    (environment-variable typos must fail loudly, not silently fall
-    back).
-
-    ``ignore_env`` skips the environment override — the numerical
-    guards use it to *force* the float64 reference backend when a
-    lower-precision trajectory diverged, which must win even under a
-    ``REPRO_SB_BACKEND=numpy32`` blanket override.
+    An unknown name raises :class:`~repro.errors.UnknownBackendError`
+    listing the valid names.
     """
-    env = "" if ignore_env else os.environ.get(ENV_BACKEND, "").strip()
-    requested = (env or backend or DEFAULT_BACKEND).strip().lower()
-    if requested in _REGISTRY:
-        return requested
-    if requested in _UNAVAILABLE:
-        if requested not in _WARNED_FALLBACKS:
-            _WARNED_FALLBACKS.add(requested)
-            logger.warning(
-                "SB backend %r is unavailable (%s); falling back to %r",
-                requested,
-                _UNAVAILABLE[requested],
-                DEFAULT_BACKEND,
-            )
-        return DEFAULT_BACKEND
-    raise UnknownBackendError(requested, known_backends())
+    requested = backend or DEFAULT_BACKEND
+    if requested not in _REGISTRY:
+        raise UnknownBackendError(requested, available_backends())
+    return requested
 
 
 def make_kernel(
-    weights: np.ndarray,
-    backend: Optional[str] = None,
-    *,
-    ignore_env: bool = False,
+    weights: np.ndarray, backend: Optional[str] = None
 ) -> "BipartiteSBKernel":
     """Build a kernel for a bipartite weight matrix (or stack thereof).
 
     ``weights`` is the core-COP weight matrix ``W`` with shape
     ``(r, c)`` for a single problem or ``(P, r, c)`` for a stacked
-    batch.  ``backend`` goes through :func:`resolve_backend`
-    (``ignore_env`` forwarded — see there).
+    batch; ``backend`` goes through :func:`resolve_backend`.
     """
-    return _REGISTRY[resolve_backend(backend, ignore_env=ignore_env)](
-        weights
-    )
+    return _REGISTRY[resolve_backend(backend)](weights)
 
 
 class BipartiteSBKernel(abc.ABC):
@@ -311,26 +220,12 @@ class BipartiteSBKernel(abc.ABC):
             return "diverged"
         return None
 
-    # -- host boundary -------------------------------------------------
-    #
-    # Device-resident backends (torch / cupy) keep live states on the
-    # accelerator; everything that crosses back into seeded-search
-    # bookkeeping (sampling, interventions, checkpoints) goes through
-    # these hooks.  The NumPy defaults below are the exact historical
-    # operations, so host backends inherit bit-identical behavior.
-
-    def state_to_host(self, x) -> np.ndarray:
-        """A host ``ndarray`` view/copy of a live kernel state."""
-        return np.asarray(x)
-
-    def sign_readout(self, x) -> np.ndarray:
-        """Float ±1 sign decode of a position state, on the host."""
-        return np.where(self.state_to_host(x) >= 0, 1.0, -1.0)
+    # -- Theorem-3 reset -----------------------------------------------
 
     def assign_types(self, x, y, types: np.ndarray) -> None:
         """Overwrite the type-spin block in place (Theorem-3 reset).
 
-        ``types`` is a 0/1 host array over the type columns; positions
+        ``types`` is a 0/1 array over the type columns; positions
         become ``2 * types - 1`` and the corresponding momenta zero.
         """
         r = self.n_rows

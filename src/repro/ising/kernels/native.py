@@ -33,12 +33,12 @@ across BLAS builds anyway); decoded settings are scored in float64 by
 the callers, and the PR 5 numeric guard covers divergence.  The
 ``numpy64`` reference path never routes through this module.
 
-Availability: requires a C compiler (``$CC``, else ``gcc``/``cc``/
-``clang``) and a discoverable OpenBLAS shared library.  When either is
-missing the backend registers as unavailable and resolution degrades to
-``numpy64`` with a single warning; when compilation fails late despite
-the probe, kernel construction falls back to the ``numpy32``
-implementation (same tolerance class) and logs once.  Set
+Availability: the engine needs a C compiler (``$CC``, else ``gcc``/
+``cc``/``clang``) and a discoverable OpenBLAS shared library.  The
+backend is always registered; when the engine cannot be built (either
+is missing, or compilation fails), kernel construction falls back to
+the ``numpy32`` implementation (same tolerance class) and logs once, so
+a ``native32`` request always runs float32 arithmetic.  Set
 ``REPRO_NATIVE_CACHE`` to override the compile cache directory.
 """
 
@@ -63,7 +63,6 @@ from repro.obs.logconfig import get_logger
 logger = get_logger("repro.ising.kernels.native")
 
 __all__ = [
-    "NATIVE_PROBED_AVAILABLE",
     "NativeBipartiteKernel",
     "NativeEngine",
     "native_engine",
@@ -461,10 +460,9 @@ class NativeBipartiteKernel(NumPyBipartiteKernel):
 def _make_native(weights: np.ndarray) -> NumPyBipartiteKernel:
     """Factory: native kernel, degrading to numpy32 if the build fails.
 
-    The import-time probe only checks that a compiler and a BLAS
-    library *look* present; if the actual compile/load then fails, fall
-    back to the same-tolerance-class float32 NumPy kernel (warn once)
-    instead of failing kernel construction mid-solve.
+    When the engine cannot be built on this machine, fall back to the
+    same-tolerance-class float32 NumPy kernel (warn once) instead of
+    failing kernel construction mid-solve.
     """
     global _FALLBACK_WARNED
     engine = native_engine()
@@ -481,36 +479,11 @@ def _make_native(weights: np.ndarray) -> NumPyBipartiteKernel:
     return kernel
 
 
-def _probe() -> Optional[str]:
-    """Cheap import-time availability check (no compilation)."""
-    if _find_compiler() is None:
-        return "no C compiler found ($CC, gcc, cc, clang)"
-    if not _blas_candidates():
-        return "no vendored BLAS shared library found"
-    return None
-
-
-_PROBE_REASON = _probe()
-NATIVE_PROBED_AVAILABLE = _PROBE_REASON is None
-
-_NATIVE_SUMMARY = (
-    "compiled float32 tile engine (cache-blocked, fused element-wise)"
+register_backend(
+    "native32",
+    _make_native,
+    dtype="float32",
+    summary=(
+        "compiled float32 tile engine (cache-blocked, fused element-wise)"
+    ),
 )
-if NATIVE_PROBED_AVAILABLE:
-    register_backend(
-        "native32",
-        _make_native,
-        dtype="float32",
-        device="cpu",
-        supports_batch=True,
-        summary=_NATIVE_SUMMARY,
-    )
-else:
-    register_backend(
-        "native32",
-        unavailable_reason=_PROBE_REASON,
-        dtype="float32",
-        device="cpu",
-        supports_batch=True,
-        summary=_NATIVE_SUMMARY,
-    )

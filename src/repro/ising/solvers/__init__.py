@@ -8,8 +8,6 @@ goes through :mod:`repro.ising.solvers.registry`
 (replicas / probes / stop criteria) without constructing anything.
 """
 
-import warnings
-
 from repro.ising.solvers.asb import AdiabaticSBSolver
 from repro.ising.solvers.base import IsingSolver, SolveResult
 from repro.ising.solvers.brute_force import BruteForceSolver
@@ -42,18 +40,6 @@ __all__ = [
     "SolverInfo",
     "TabuSearchSolver",
     "make_solver",
-    "solver_for_name",
     "solver_info",
     "solver_names",
 ]
-
-
-def solver_for_name(name: str, **params) -> IsingSolver:
-    """Deprecated pre-registry lookup; use :func:`make_solver`."""
-    warnings.warn(
-        "solver_for_name is deprecated; use "
-        "repro.ising.solvers.registry.make_solver",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return make_solver(name, **params)

@@ -198,9 +198,9 @@ class BallisticSBSolver(IsingSolver):
     backend:
         Compute-kernel backend for the Euler step when the model
         provides one (``model.make_kernel``): ``"numpy64"`` (bit-for-bit
-        the historical inline loop), ``"numpy32"``, or ``"numba"``.
-        ``None`` resolves through ``REPRO_SB_BACKEND`` and defaults to
-        ``numpy64``; models without kernels use the generic inline path.
+        the historical inline loop), ``"numpy32"``, or ``"native32"``.
+        ``None`` means ``numpy64``; models without kernels use the
+        generic inline path.
         Energy sampling always scores decoded spins in float64 through
         ``model.energy``, whatever the stepping dtype.
     trace_every:
@@ -388,8 +388,7 @@ class BallisticSBSolver(IsingSolver):
         while True:
             if maker is not None:
                 kernel = maker(
-                    ESCALATION_BACKEND if force_float64 else self.backend,
-                    ignore_env=force_float64,
+                    ESCALATION_BACKEND if force_float64 else self.backend
                 )
                 x, y = kernel.prepare_state(x64, y64)
             else:

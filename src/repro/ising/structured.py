@@ -98,22 +98,17 @@ class BipartiteDecompositionModel(IsingModel):
     # IsingModel interface (delegated to the reference compute kernel)
     # ------------------------------------------------------------------
 
-    def make_kernel(
-        self, backend: Optional[str] = None, ignore_env: bool = False
-    ):
+    def make_kernel(self, backend: Optional[str] = None):
         """Build a fused SB kernel for this model's couplings.
 
-        ``backend`` resolves through
-        :func:`repro.ising.kernels.resolve_backend` (``REPRO_SB_BACKEND``
-        wins, then the argument, then ``numpy64``; ``ignore_env`` skips
-        the environment override — the solver's numeric guard uses it
-        to force the float64 reference backend).  Solvers that find
-        this method drive their dynamics through the kernel instead of
-        calling :meth:`fields` per iteration.
+        ``backend`` names a registered kernel backend (``None`` is
+        ``numpy64``; see :func:`repro.ising.kernels.resolve_backend`).
+        Solvers that find this method drive their dynamics through the
+        kernel instead of calling :meth:`fields` per iteration.
         """
         from repro.ising.kernels import make_kernel
 
-        return make_kernel(self.weights, backend=backend, ignore_env=ignore_env)
+        return make_kernel(self.weights, backend=backend)
 
     @property
     def _kernel(self):

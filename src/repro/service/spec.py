@@ -17,8 +17,9 @@ that determine the seeded search result bit-for-bit:
 * the input-distribution probabilities (raw float64 bytes — the MED
   objective is defined against them),
 * :meth:`FrameworkConfig.semantic_dict` — every framework/solver field
-  except ``n_workers`` (pure scheduling), with the SB backend resolved
-  because float32 stepping changes numerics.
+  except ``n_workers`` (pure scheduling) and the solver's
+  ``trace_every`` (trace thinning only), with the SB backend mapped to
+  its tolerance class because float32 stepping changes numerics.
 
 Two submissions with equal keys are guaranteed to produce identical
 designs, so the artifact store may return one's result for the other.
@@ -395,15 +396,38 @@ class JobSpec:
         )
 
 
+#: SB backend names older builds accepted but never ran here: with the
+#: package missing, a job naming one stepped (and was keyed) on the
+#: ``numpy64`` fallback, so stored rows read it back as ``numpy64``
+_RETIRED_BACKENDS = ("numba", "torch", "cupy")
+
+
+def _read_retired_backend(data: Dict) -> Dict:
+    """``data`` with a retired ``config.solver.backend`` read as
+    ``numpy64`` (stored specs only; the wire path rejects these names)."""
+    config = data.get("config")
+    solver = config.get("solver") if isinstance(config, dict) else None
+    if not isinstance(solver, dict):
+        return data
+    if solver.get("backend") not in _RETIRED_BACKENDS:
+        return data
+    solver = {**solver, "backend": "numpy64"}
+    return {**data, "config": {**config, "solver": solver}}
+
+
 def spec_from_stored(data: Dict) -> JobSpec:
     """Parse a persisted spec: wire form if tagged, legacy otherwise.
 
     Job-store rows written before the wire format carry no ``format``
     key; everything newer goes through the strict :meth:`JobSpec.from_wire`
     path so corruption surfaces as a clear error instead of a default.
+    A retired SB backend name (``numba``/``torch``/``cupy``) in a stored
+    row reads as ``numpy64``, the backend those jobs actually ran on.
     """
-    if isinstance(data, dict) and "format" in data:
-        return JobSpec.from_wire(data)
+    if isinstance(data, dict):
+        data = _read_retired_backend(data)
+        if "format" in data:
+            return JobSpec.from_wire(data)
     return JobSpec.from_dict(data)
 
 

@@ -160,6 +160,39 @@ class TestExtensions:
             assert result.rounds_used < 5
 
 
+class TestSolveMetadata:
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize(
+        "backend,dtype",
+        [
+            (None, "float64"),
+            ("numpy64", "float64"),
+            ("numpy32", "float32"),
+            ("native32", "float32"),
+        ],
+    )
+    def test_component_solve_reports_backend_dtype(
+        self, backend, dtype, batched
+    ):
+        table = TruthTable.from_integer_function(
+            lambda x: (x * 3 + 1) % 16, n_inputs=4, n_outputs=4
+        )
+        config = fast_config(
+            n_partitions=2,
+            batched=batched,
+            solver=CoreSolverConfig(
+                max_iterations=100, n_replicas=2, backend=backend
+            ),
+        )
+        solution = IsingDecomposer(config)._optimize_component(
+            table, table, 0, np.random.default_rng(0),
+            np.random.default_rng(1),
+        )
+        metadata = solution.solve_result.metadata
+        assert metadata["backend"] == (backend or "numpy64")
+        assert metadata["dtype"] == dtype
+
+
 class TestHooks:
     """Progress/cancellation hooks (service-layer integration points)."""
 

@@ -305,6 +305,22 @@ class TestValidation:
             # nothing slipped into the queue
             assert service.store.pending() == 0
 
+    @pytest.mark.parametrize("retired", ["numba", "torch", "cupy"])
+    def test_retired_backend_rejected(self, tmp_path, fast_config,
+                                      retired):
+        """Backends this build cannot run are refused, not silently run
+        on numpy64 (stored rows naming them still load)."""
+        service = make_service(tmp_path)
+        wire = spec_for(fast_config).to_wire()
+        wire["config"]["solver"]["backend"] = retired
+        with DecompositionGateway(service, GatewayConfig(port=0)) as gw:
+            status, body = self._post(gw.url, wire)
+        assert status == 400
+        assert body["status"] == 400
+        assert body["error"]["code"] == "invalid_request"
+        assert retired in body["error"]["message"]
+        assert service.store.pending() == 0
+
     def test_invalid_json_and_oversized_bodies(self, tmp_path,
                                                fast_config):
         service = make_service(tmp_path)

@@ -13,12 +13,8 @@ from repro.core.config import CoreSolverConfig
 from repro.errors import ConfigurationError
 from repro.ising.kernels import (
     DEFAULT_BACKEND,
-    ENV_BACKEND,
-    NUMBA_AVAILABLE,
     available_backends,
-    known_backends,
     make_kernel,
-    reset_fallback_warnings,
     resolve_backend,
 )
 from repro.ising.schedules import LinearPump
@@ -225,20 +221,11 @@ class TestRegistry:
         assert "numpy64" in available_backends()
         assert "numpy32" in available_backends()
 
-    def test_numba_is_always_known(self):
-        assert "numba" in known_backends()
-
-    def test_default_resolution(self, monkeypatch):
-        monkeypatch.delenv(ENV_BACKEND, raising=False)
+    def test_default_resolution(self):
         assert resolve_backend(None) == DEFAULT_BACKEND
         assert resolve_backend("numpy32") == "numpy32"
 
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "numpy32")
-        assert resolve_backend("numpy64") == "numpy32"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.delenv(ENV_BACKEND, raising=False)
+    def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_backend("cuda")
 
@@ -247,48 +234,3 @@ class TestRegistry:
             CoreSolverConfig(backend="not-a-backend")
         assert CoreSolverConfig(backend="numpy32").backend == "numpy32"
 
-    @pytest.mark.skipif(
-        NUMBA_AVAILABLE, reason="numba installed; no fallback to test"
-    )
-    def test_missing_numba_falls_back_warning_once(
-        self, monkeypatch, rng, caplog
-    ):
-        monkeypatch.delenv(ENV_BACKEND, raising=False)
-        reset_fallback_warnings()
-        with caplog.at_level("WARNING", logger="repro.ising.kernels"):
-            assert resolve_backend("numba") == DEFAULT_BACKEND
-        assert any(
-            "numba" in record.getMessage() for record in caplog.records
-        )
-        # the fallback warns exactly once per process, not once per
-        # resolve/batch — repeated resolutions stay silent
-        caplog.clear()
-        with caplog.at_level("WARNING", logger="repro.ising.kernels"):
-            assert resolve_backend("numba") == DEFAULT_BACKEND
-            kernel = make_kernel(rng.normal(size=(2, 3)), backend="numba")
-        assert not caplog.records
-        assert kernel.dtype == np.float64
-        reset_fallback_warnings()
-        with caplog.at_level("WARNING", logger="repro.ising.kernels"):
-            assert resolve_backend("numba") == DEFAULT_BACKEND
-        assert any(
-            "numba" in record.getMessage() for record in caplog.records
-        )
-
-    @pytest.mark.skipif(
-        not NUMBA_AVAILABLE, reason="needs an installed numba"
-    )
-    def test_numba_matches_numpy64_closely(self, rng):
-        w = rng.normal(size=(4, 7))
-        k64 = make_kernel(w, backend="numpy64")
-        knb = make_kernel(w, backend="numba")
-        n = k64.n_spins
-        x0 = rng.uniform(-0.1, 0.1, (2, n))
-        y0 = rng.uniform(-0.1, 0.1, (2, n))
-        pump = LinearPump(1.0, 40)
-        xa, ya = k64.prepare_state(x0.copy(), y0.copy())
-        xb, yb = knb.prepare_state(x0.copy(), y0.copy())
-        for iteration in range(1, 101):
-            k64.step(xa, ya, pump(iteration), 0.25, 1.0, 0.3)
-            knb.step(xb, yb, pump(iteration), 0.25, 1.0, 0.3)
-        assert np.allclose(xa, xb, atol=1e-9)

@@ -4,7 +4,7 @@ Three API guarantees introduced by the unified-registry redesign:
 
 * ``make_solver(name, **params)`` is the single name→solver path, with
   capability flags answerable without construction and clear errors for
-  unknown names/parameters (old entry points shim to it, deprecated);
+  unknown names/parameters;
 * every registered solver returns a ``SolveResult`` honoring the
   documented contract — shared ``stop_reason`` vocabulary, populated
   ``runtime_seconds``, and uniform ``metadata`` keys;
@@ -15,10 +15,8 @@ Three API guarantees introduced by the unified-registry redesign:
 import numpy as np
 import pytest
 
-from repro.core.solver import CoreCOPSolver, build_bsb_solver
 from repro.errors import ConfigurationError
 from repro.ising.model import DenseIsingModel
-from repro.ising.solvers import solver_for_name
 from repro.ising.solvers.base import (
     IsingSolver,
     binary_to_spins,
@@ -96,20 +94,6 @@ class TestRegistry:
     def test_every_entry_constructs_an_ising_solver(self):
         for name in solver_names():
             assert isinstance(make_solver(name), IsingSolver)
-
-
-class TestDeprecatedShims:
-    def test_solver_for_name_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="make_solver"):
-            solver = solver_for_name("tabu", n_restarts=2)
-        assert type(solver).__name__ == "TabuSearchSolver"
-
-    def test_build_bsb_solver_warns_and_matches_core_path(self):
-        with pytest.warns(DeprecationWarning, match="build_solver"):
-            shimmed = build_bsb_solver()
-        direct = CoreCOPSolver().build_solver()
-        assert type(shimmed) is type(direct)
-        assert shimmed.n_replicas == direct.n_replicas
 
 
 class TestSolveResultContract:

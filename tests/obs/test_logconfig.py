@@ -59,10 +59,10 @@ class TestConfigureLogging:
     def test_writes_formatted_records(self):
         stream = io.StringIO()
         logger = configure_logging(verbosity=1, stream=stream)
-        get_logger("ising.kernels").info("backend %s", "numba")
+        get_logger("ising.kernels").info("backend %s", "native32")
         assert logger.level == logging.INFO
         assert (
-            "INFO repro.ising.kernels: backend numba" in stream.getvalue()
+            "INFO repro.ising.kernels: backend native32" in stream.getvalue()
         )
 
     def test_quiet_suppresses_warnings(self):

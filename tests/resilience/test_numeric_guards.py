@@ -77,22 +77,6 @@ class TestEscalation:
         assert result.metadata["numeric_escalations"] == 1
         assert result.metadata["backend"] == "numpy64"
 
-    def test_escalation_beats_env_backend_override(
-        self, rng, chaos_seed, monkeypatch
-    ):
-        """REPRO_SB_BACKEND=numpy32 must not veto the forced float64
-        retry — otherwise the guard would loop forever.
-        """
-        monkeypatch.setenv("REPRO_SB_BACKEND", "numpy32")
-        model = _model(rng)
-        plan = FaultPlan(
-            [FaultRule(site="kernel.nan", at_calls=(1,))], seed=chaos_seed
-        )
-        with fault_injection(plan):
-            result = _solver(None).solve(model, np.random.default_rng(5))
-        assert result.metadata["backend"] == "numpy64"
-        assert result.metadata["numeric_escalations"] == 1
-
     def test_metric_counts_escalations(self, rng, chaos_seed):
         model = _model(rng)
         counter = get_metrics().counter(
