@@ -51,7 +51,7 @@ Commands
     ``--shards`` shows per-shard job-store health (exit 3 while any
     shard is degraded); ``--limit N`` pages the job table server-side.
 ``admin scrub`` / ``admin rebuild``
-    Job-store maintenance for sharded layouts: ``scrub`` integrity-
+    Job-store maintenance (any shard count): ``scrub`` integrity-
     checks every shard (SQLite ``quick_check`` plus journal and
     artifact cross-checks; exit 3 on findings) and ``rebuild --shard K``
     reconstructs a lost or corrupt shard from its append-only intent
@@ -114,6 +114,7 @@ from __future__ import annotations
 import argparse
 import json
 import signal
+import sqlite3
 import sys
 import time
 from pathlib import Path
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hash jobs across N independent job-store "
                             "shards (fault domains with per-shard "
                             "circuit breakers; default: the directory's "
-                            "existing layout, or a single store)")
+                            "existing layout, or 1)")
     serve.add_argument("--batch-jobs", type=int, default=1, metavar="B",
                        help="jobs each worker claims and advances "
                             "together per loop, fusing compatible "
@@ -879,10 +880,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_workers=args.max_workers,
         )
     depth = service.store.pending()
-    shard_states = service.shard_states()
-    if shard_states is not None:
-        print(f"job store sharded over {len(shard_states)} fault "
-              f"domain(s)")
+    print(f"job store sharded over {len(service.shard_states())} fault "
+          f"domain(s)")
     if args.dispatch_only:
         print(f"serving {args.service_dir} dispatch-only (no local "
               f"workers), {depth} job(s) pending")
@@ -1149,30 +1148,14 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shard_block(args: argparse.Namespace):
-    """The ``{"total", "degraded", "states"}`` shard-health block for
-    ``status --shards`` (``None`` on an unsharded store)."""
-    if args.remote is not None:
-        return _remote_client(args).healthz().get("shards")
-    states = DecompositionService(args.service_dir).shard_states()
-    if states is None:
-        return None
-    return {
-        "total": len(states),
-        "degraded": [
-            s["index"] for s in states if s["state"] != "healthy"
-        ],
-        "states": states,
-    }
-
-
 def _cmd_status(args: argparse.Namespace) -> int:
     _check_target(args)
     if args.show_shards:
-        shards = _shard_block(args)
-        if shards is None:
-            print("single job store (unsharded)")
-            return 0
+        shards = (
+            _remote_client(args).healthz()["shards"]
+            if args.remote is not None
+            else DecompositionService(args.service_dir).store.shard_health()
+        )
         if args.as_json:
             print(json.dumps(shards, indent=2, sort_keys=True))
             return 0 if not shards["degraded"] else 3
@@ -1364,6 +1347,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename or exc}", file=sys.stderr)
+        return 1
+    except sqlite3.OperationalError as exc:
+        print(f"error: job store unavailable: {exc} (see `repro status "
+              f"--shards` and `repro admin scrub`)", file=sys.stderr)
         return 1
 
 

@@ -573,28 +573,21 @@ def _build_handler(gateway: DecompositionGateway):
             )
 
         def _handle_healthz(self) -> None:
-            body = {
-                "status": "ok",
+            # per-shard breaker state; overall status flips to
+            # "degraded" while any circuit is open (the store still
+            # serves on the survivors) or no shard answers at all
+            try:
+                pending = service.store.pending()
+            except sqlite3.OperationalError:
+                pending = None
+            shards = service.store.shard_health()
+            degraded = shards["degraded"] or pending is None
+            self._json(200, {
+                "status": "degraded" if degraded else "ok",
                 "version": package_version(),
-                "pending": service.store.pending(),
-            }
-            # sharded stores report per-shard breaker state; overall
-            # status flips to "degraded" while any circuit is open
-            # (the store still serves on the survivors)
-            shard_states = service.shard_states()
-            if shard_states is not None:
-                degraded = [
-                    state["index"] for state in shard_states
-                    if state["state"] != "healthy"
-                ]
-                body["shards"] = {
-                    "total": len(shard_states),
-                    "degraded": degraded,
-                    "states": shard_states,
-                }
-                if degraded:
-                    body["status"] = "degraded"
-            self._json(200, body)
+                "pending": pending,
+                "shards": shards,
+            })
 
         def _handle_metrics(self) -> None:
             text = prometheus_exposition(

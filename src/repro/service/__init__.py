@@ -10,10 +10,10 @@ Module map
 ----------
 ``spec``       :class:`JobSpec` + :func:`artifact_key` (content hashing)
 ``artifacts``  :class:`ArtifactStore` — on-disk design cache
-``jobstore``   :class:`JobStore` — SQLite job journal (the durable truth)
-``shards``     :class:`ShardedJobStore` — N independent job-store
-               fault domains with per-shard circuit breakers,
-               degraded-mode serving, and journal-based scrub/rebuild
+``jobstore``   :class:`JobStore` — one SQLite shard of the job store
+``shards``     :class:`ShardedJobStore` — the job store of every service
+               directory: N >= 1 shard fault domains with circuit
+               breakers, intent journals, and scrub/rebuild
 ``scheduler``  :class:`Scheduler`/:class:`SchedulerPolicy` — retries,
                backoff, leases, orphan recovery
 ``worker``     :class:`JobExecutor` + :class:`WorkerPool`

@@ -1,10 +1,12 @@
 """Durable job store: a SQLite journal of decomposition jobs.
 
-The store is the single source of truth for the service — submission,
-scheduling, worker leases, retries, and telemetry all read and write the
-one ``jobs`` table, so any process that can open the database file can
-submit, serve, or inspect (the CLI's ``submit`` / ``serve`` / ``status``
-commands are separate processes by design).
+:class:`JobStore` is the engine of one shard — a service directory's
+:class:`~repro.service.shards.ShardedJobStore` puts N >= 1 of them
+behind one interface.  Submission, scheduling, worker leases, retries,
+and telemetry all read and write a shard's ``jobs`` table, so any
+process that can open the directory can submit, serve, or inspect (the
+CLI's ``submit`` / ``serve`` / ``status`` commands are separate
+processes by design).
 
 Job lifecycle::
 
@@ -44,7 +46,7 @@ import json
 import sqlite3
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -282,7 +284,10 @@ class JobStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         existed = self.path.exists()
         try:
-            with self._connect() as conn:
+            # closing(): a connection left to the cyclic GC keeps the
+            # WAL sidecars open (and shared with every later connection
+            # of this process to the same file) long after the open
+            with closing(self._connect()) as conn:
                 if existed:
                     self._integrity_check(conn)
                     self._migrate(conn)
@@ -829,78 +834,37 @@ class JobStore:
             raise JobNotFound(job_id)
         return _record_from_row(row)
 
-    def list_jobs(self, state: Optional[str] = None) -> List[JobRecord]:
-        """All jobs (optionally filtered by state), oldest first."""
-        records, _ = self.page_jobs(state=state)
-        return records
-
-    def page_jobs(
+    def list_jobs(
         self,
         state: Optional[str] = None,
         limit: Optional[int] = None,
-        cursor: Optional[str] = None,
         after: Optional[Tuple[float, str]] = None,
-    ) -> Tuple[List[JobRecord], Optional[str]]:
-        """One page of jobs, oldest first: ``(records, next_cursor)``.
+    ) -> List[JobRecord]:
+        """Jobs oldest first, optionally filtered by state.
 
-        The cursor is the last-seen job id; pagination continues from
-        strictly after that job in ``(created_at, id)`` order, which is
-        stable under concurrent submissions — rows never shift under a
-        paginating reader the way OFFSET pages do, so no job is skipped
-        or repeated.  ``next_cursor`` is ``None`` on the final page.
-        ``limit=None`` returns everything in one page (legacy shape).
-        An unknown ``cursor`` or ``state`` raises
-        :class:`~repro.errors.ServiceError`.
-
-        ``after`` is an explicit ``(created_at, id)`` anchor used
-        instead of cursor resolution — the sharded store's cross-shard
-        keyset merge passes it so every shard can continue from the
-        same global position even when the anchor row lives (or lived)
-        on a different shard.
+        ``after`` is a ``(created_at, id)`` keyset anchor: only rows
+        strictly after it are returned, at most ``limit`` of them.  The
+        sharded store's cross-shard page merge asks every shard for the
+        same global position this way (and validates state and limit).
         """
-        if state is not None and state not in JOB_STATES:
-            raise ServiceError(
-                f"unknown job state {state!r}; states: {JOB_STATES}"
-            )
-        if limit is not None and limit <= 0:
-            raise ServiceError(
-                f"limit must be a positive integer, got {limit!r}"
-            )
         clauses: List[str] = []
         params: List = []
+        if after is not None:
+            clauses.append("(created_at > ? OR (created_at = ? AND id > ?))")
+            params.extend([after[0], after[0], after[1]])
+        if state is not None:
+            clauses.append("state = ?")
+            params.append(state)
+        query = "SELECT * FROM jobs"
+        if clauses:
+            query += " WHERE " + " AND ".join(clauses)
+        query += " ORDER BY created_at, id"
+        if limit is not None:
+            query += " LIMIT ?"
+            params.append(limit)
         with self._txn() as conn:
-            if cursor is not None and after is None:
-                anchor = conn.execute(
-                    "SELECT created_at, id FROM jobs WHERE id = ?",
-                    (cursor,),
-                ).fetchone()
-                if anchor is None:
-                    raise ServiceError(
-                        f"unknown pagination cursor {cursor!r}"
-                    )
-                after = (anchor["created_at"], cursor)
-            if after is not None:
-                clauses.append(
-                    "(created_at > ? OR (created_at = ? AND id > ?))"
-                )
-                params.extend([after[0], after[0], after[1]])
-            if state is not None:
-                clauses.append("state = ?")
-                params.append(state)
-            query = "SELECT * FROM jobs"
-            if clauses:
-                query += " WHERE " + " AND ".join(clauses)
-            query += " ORDER BY created_at, id"
-            if limit is not None:
-                # one extra row tells us whether a next page exists
-                query += " LIMIT ?"
-                params.append(limit + 1)
             rows = conn.execute(query, tuple(params)).fetchall()
-        next_cursor: Optional[str] = None
-        if limit is not None and len(rows) > limit:
-            rows = rows[:limit]
-            next_cursor = rows[-1]["id"]
-        return [_record_from_row(row) for row in rows], next_cursor
+        return [_record_from_row(row) for row in rows]
 
     def find_by_key(
         self,

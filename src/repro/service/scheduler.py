@@ -99,13 +99,11 @@ class Scheduler:
     """Policy-applying façade over the job store (see module docs).
 
     ``store`` is anything speaking the :class:`JobStore` interface —
-    the single SQLite store or a
-    :class:`~repro.service.shards.ShardedJobStore`; the scheduler is
-    oblivious to the layout.  Against a sharded store a degraded
-    shard surfaces as :class:`~repro.errors.ShardUnavailableError`
-    from key/id-scoped calls (the worker pool treats it as store
-    pressure), while claims and recovery silently continue over the
-    surviving shards.
+    a service directory's :class:`~repro.service.shards.ShardedJobStore`
+    or one bare :class:`JobStore` shard.  A degraded shard surfaces as
+    :class:`~repro.errors.ShardUnavailableError` from key/id-scoped
+    calls (the worker pool treats it as store pressure), while claims
+    and recovery silently continue over the surviving shards.
     """
 
     def __init__(

@@ -3,8 +3,14 @@
 :class:`DecompositionService` owns a *service directory*::
 
     <root>/
-      jobs.sqlite3        durable job store (queue + journal + telemetry)
+      shards.json         job-store layout manifest (N shards, default 1)
+      jobs-NN.sqlite3     durable job store shards (queue + telemetry)
+      jobs-NN.journal.jsonl   per-shard intent journals (rebuild source)
       artifacts/          content-addressed design cache
+
+A directory written by an older build (one ``jobs.sqlite3``) is
+migrated to that layout once, on first open (see
+:mod:`repro.service.shards`).
 
 Because all state is on disk, the façade is process-oblivious: one
 process may ``submit`` while another runs ``serve`` and a third polls
@@ -64,10 +70,8 @@ class DecompositionService:
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # shards=None discovers the directory's layout (manifest);
-        # N >= 2 opens the sharded store with per-shard fault domains
-        # (see repro.service.shards), N == 1 keeps today's single
-        # jobs.sqlite3 byte-identical
+        # shards=None discovers the directory's layout (manifest, N=1
+        # for a new directory); see repro.service.shards
         self.store = open_job_store(self.root, shards)
         self.artifacts = ArtifactStore(self.root / "artifacts")
         self.scheduler = Scheduler(self.store, policy)
@@ -158,7 +162,7 @@ class DecompositionService:
     ) -> Tuple[List[JobRecord], Optional[str]]:
         """One page of job records: ``(records, next_cursor)``.
 
-        See :meth:`repro.service.jobstore.JobStore.page_jobs` — this is
+        See :meth:`repro.service.shards.ShardedJobStore.page_jobs` — this is
         what ``GET /v1/jobs?limit=&cursor=`` serves, so large queues
         never require an O(queue) response.
         """
@@ -170,12 +174,9 @@ class DecompositionService:
         """Structured telemetry summary (see ``service.telemetry``)."""
         return service_summary(self.store, self.artifacts)
 
-    def shard_states(self) -> Optional[List[Dict]]:
-        """Per-shard breaker snapshots, or ``None`` for the single
-        (unsharded) store — the healthz / ``status --shards`` feed.
-        """
-        states = getattr(self.store, "shard_states", None)
-        return states() if callable(states) else None
+    def shard_states(self) -> List[Dict]:
+        """Per-shard breaker snapshots of the job store."""
+        return self.store.shard_states()
 
     def fetch_envelope(self, job_id: str) -> Dict:
         """The finished job's artifact envelope (design + metadata)."""

@@ -1,33 +1,37 @@
 """Sharded job store: N independent SQLite fault domains.
 
-A single :class:`~repro.service.jobstore.JobStore` is one file — one
-``JobStoreCorruptError`` or stuck disk takes down submits, fleet
-claims, and the scheduler at once.  :class:`ShardedJobStore` splits
-the store into N independent SQLite databases, hashing every job onto
-a shard by its **artifact key** (the content address over truth table
-and semantic config), and presents the union behind the exact
-``JobStore`` interface the scheduler, gateway, and CLI already speak.
+One SQLite file is one fault domain — one ``JobStoreCorruptError`` or
+stuck disk takes down submits, fleet claims, and the scheduler at once.
+:class:`ShardedJobStore` is the job store of every service directory:
+it splits the jobs over N >= 1 :class:`~repro.service.jobstore.JobStore`
+databases, hashing every job onto a shard by its **artifact key** (the
+content address over truth table and semantic config), and presents
+the union behind the interface the scheduler, gateway, and CLI speak.
 
 Layout
 ------
-``N == 1`` is byte-identical to today's single store — the factory
-:func:`open_job_store` returns a plain ``JobStore`` over
-``<root>/jobs.sqlite3`` with no manifest and no journal, so every
-existing service directory keeps working untouched.  ``N >= 2``
-writes::
+Every service directory, N = 1 (the default) included, holds::
 
     <root>/
       shards.json               layout manifest {"n_shards": N}
+      shards.lock               flock'ed while the layout is first written
       jobs-00.sqlite3           shard 0 (plus -wal/-shm siblings)
       jobs-00.journal.jsonl     shard 0 intent journal
       ...
       jobs-<N-1>.sqlite3
-      artifacts/                shared content-addressed cache (unsharded)
+      artifacts/                content-addressed cache, shared by all shards
 
 The manifest makes the layout self-describing: ``repro submit`` /
 ``status`` / supervised worker processes discover N from it, and an
 explicit ``--shards`` that contradicts it is refused rather than
 silently resharding (keys would rehash onto different shards).
+
+A directory written by an older build holds one ``jobs.sqlite3`` and no
+manifest.  :func:`open_job_store` migrates it once, under the lock, to
+shard 0 of an N = 1 layout: a ``quick_check`` (a corrupt file raises
+and stays in place), a journal backfilled from its rows, the rename to
+``jobs-00.sqlite3``, and the manifest last — so a crash at any step
+re-runs cleanly.
 
 Fault domains
 -------------
@@ -42,7 +46,9 @@ Each shard carries a circuit breaker.  Repeated
   maps to a scoped 503 ``store_unavailable`` with Retry-After;
 - everything with a surviving-shard answer keeps working: claims
   rotate over healthy shards, pagination keyset-merges the healthy
-  shards, counts/pending/fleet registry aggregate what is reachable.
+  shards, counts/pending/fleet registry aggregate what is reachable
+  (with no shard reachable they raise ``sqlite3.OperationalError``,
+  the store-pressure signal callers already back off on).
 
 A degraded shard is re-probed *half-open*: every
 ``probe_interval_seconds`` one real call is let through, and a
@@ -65,12 +71,14 @@ artifacts).  :func:`scrub_store` is the read-only audit: per-shard
 cross-checks.
 
 Job ids are tagged with their home shard (``job-s03-<hex>``), so
-routing a transition is O(1); untagged legacy ids fall back to
-probing the shards.
+routing is O(1); untagged ids (``job-<hex>``) exist only in a store
+migrated from the single-file layout, which is N = 1, so they route to
+shard 0.
 """
 
 from __future__ import annotations
 
+import fcntl
 import itertools
 import json
 import os
@@ -80,6 +88,7 @@ import struct
 import threading
 import time
 import uuid
+from contextlib import closing, contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -102,6 +111,7 @@ from repro.service.jobstore import (
 from repro.service.spec import JobSpec
 
 __all__ = [
+    "LEGACY_DB_NAME",
     "MANIFEST_NAME",
     "ShardedJobStore",
     "open_job_store",
@@ -117,6 +127,8 @@ __all__ = [
 logger = get_logger("repro.service.shards")
 
 MANIFEST_NAME = "shards.json"
+#: the single-file store of older builds, migrated to shard 0 on open
+LEGACY_DB_NAME = "jobs.sqlite3"
 _MANIFEST_FORMAT = "repro-shards"
 
 #: shard-tagged job ids: ``job-s<index>-<hex>``
@@ -132,8 +144,6 @@ def shard_for_key(artifact_key: str, n_shards: int) -> int:
     Keys are SHA-256 hex digests, so the leading 32 bits are already a
     uniform hash — no second hashing pass needed.
     """
-    if n_shards <= 1:
-        return 0
     try:
         return int(artifact_key[:8], 16) % n_shards
     except (ValueError, IndexError):
@@ -141,10 +151,8 @@ def shard_for_key(artifact_key: str, n_shards: int) -> int:
         return sum(artifact_key.encode("utf-8", "replace")) % n_shards
 
 
-def shard_db_path(root: Path, index: int, n_shards: int) -> Path:
-    """Database file of one shard (the legacy name when unsharded)."""
-    if n_shards == 1:
-        return Path(root) / "jobs.sqlite3"
+def shard_db_path(root: Path, index: int) -> Path:
+    """Database file of one shard."""
     return Path(root) / f"jobs-{index:02d}.sqlite3"
 
 
@@ -210,31 +218,92 @@ def resolve_n_shards(
     return n
 
 
-def open_job_store(
-    root: Union[str, Path], shards: Optional[int] = None
-) -> Union[JobStore, "ShardedJobStore"]:
-    """Open a service directory's job store, sharded or not.
+@contextmanager
+def _layout_lock(root: Path) -> Iterator[None]:
+    """Exclusive ``flock`` on the root's lock file (threads included:
+    every holder opens its own file description)."""
+    with (root / "shards.lock").open("a") as handle:
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        yield  # closing the handle releases the lock
 
-    ``N == 1`` returns a plain :class:`JobStore` over
-    ``<root>/jobs.sqlite3`` — byte-identical to the pre-sharding
-    layout, no manifest, no journal.  ``N >= 2`` writes/validates the
-    manifest and returns a :class:`ShardedJobStore`.
+
+def _migrate_legacy(root: Path) -> None:
+    """Turn a legacy ``jobs.sqlite3`` into shard 0 (see module docs).
+
+    The caller holds the layout lock and writes the manifest after
+    this returns; every step here is safe to repeat.
+    """
+    legacy = root / LEGACY_DB_NAME
+    jobs = JobStore(legacy).list_jobs()  # quick_check: corrupt raises
+    records: List[Dict] = []
+    for job in jobs:
+        records.append({
+            "op": "submit",
+            "id": job.id,
+            "artifact_key": job.artifact_key,
+            "spec": job.spec.to_wire(),
+            "max_attempts": job.max_attempts,
+            "created_at": job.created_at,
+        })
+        if job.state == "done":
+            records.append({
+                "op": "done", "id": job.id, "med": job.med,
+                "runtime_seconds": job.runtime_seconds,
+                "cache_hit": job.cache_hit, "finished_at": job.finished_at,
+            })
+        elif job.state in _TERMINAL_OPS:
+            records.append({
+                "op": job.state, "id": job.id, "error": job.error,
+                "finished_at": job.finished_at,
+            })
+    journal = shard_journal_path(root, 0)
+    tmp = journal.with_name(journal.name + ".tmp")
+    tmp.write_text("".join(
+        json.dumps(record, sort_keys=True) + "\n" for record in records
+    ))
+    os.replace(tmp, journal)
+    with closing(sqlite3.connect(legacy)) as conn:
+        busy = conn.execute("PRAGMA wal_checkpoint(TRUNCATE)").fetchone()[0]
+    if busy:  # a live connection elsewhere still owns the WAL
+        raise ServiceError(f"{legacy} is in use; stop its server first")
+    os.replace(legacy, shard_db_path(root, 0))
+    logger.info("migrated %s to shard 0 (%d job(s))", legacy, len(jobs))
+
+
+def _adopt_layout(
+    root: Union[str, Path], shards: Optional[int] = None
+) -> int:
+    """Shard count of a service directory, writing its layout once.
+
+    A directory without a manifest gets one under the layout lock —
+    after migrating a legacy single-file store to shard 0.  A shard-0
+    file without a manifest is such a migration stopped before its
+    last step, so that layout is N = 1 whatever ``shards`` asks.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    n = resolve_n_shards(root, shards)
-    if n == 1:
-        return JobStore(root / "jobs.sqlite3")
-    if (root / "jobs.sqlite3").exists():
-        # an unsharded store already lives here; sharding on top
-        # would strand its jobs in a file nothing reads anymore
-        raise ServiceError(
-            f"service directory {root} already holds an unsharded "
-            f"job store (jobs.sqlite3); --shards {n} would strand "
-            f"its jobs (resharding is not supported)"
-        )
-    _write_manifest(root, n)
-    return ShardedJobStore(root, n)
+    if _read_manifest(root) is None:
+        with _layout_lock(root):
+            if _read_manifest(root) is None:
+                if (root / LEGACY_DB_NAME).exists():
+                    _migrate_legacy(root)
+                _write_manifest(
+                    root,
+                    1 if shard_db_path(root, 0).exists()
+                    else resolve_n_shards(root, shards),
+                )
+    return resolve_n_shards(root, shards)
+
+
+def open_job_store(
+    root: Union[str, Path], shards: Optional[int] = None
+) -> "ShardedJobStore":
+    """Open a service directory's job store (any N >= 1).
+
+    ``shards=None`` discovers N from the manifest (default 1 for a new
+    directory); a count contradicting the manifest is refused.
+    """
+    return ShardedJobStore(root, _adopt_layout(root, shards))
 
 
 # -- intent journal -----------------------------------------------------
@@ -295,8 +364,8 @@ class ShardedJobStore:
     """N independent job-store fault domains behind one interface.
 
     See the module docs for the layout, degraded-mode semantics, and
-    rebuild story.  Requires ``n_shards >= 2`` — the N=1 case is a
-    plain :class:`JobStore` (use :func:`open_job_store`).
+    rebuild story.  :func:`open_job_store` is the usual way in: it
+    also writes (or checks) the directory's manifest.
     """
 
     #: consecutive ``OperationalError``\ s before the breaker trips
@@ -318,11 +387,6 @@ class ShardedJobStore:
         probe_interval_seconds: Optional[float] = None,
         retry_after_seconds: Optional[float] = None,
     ) -> None:
-        if n_shards < 2:
-            raise ServiceError(
-                "ShardedJobStore requires n_shards >= 2; use "
-                "open_job_store() for the single-store layout"
-            )
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.n_shards = int(n_shards)
@@ -339,8 +403,7 @@ class ShardedJobStore:
             else float(retry_after_seconds)
         )
         self._paths = [
-            shard_db_path(self.root, i, self.n_shards)
-            for i in range(self.n_shards)
+            shard_db_path(self.root, i) for i in range(self.n_shards)
         ]
         self._stores: List[Optional[JobStore]] = [None] * self.n_shards
         self._health = [
@@ -479,10 +542,24 @@ class ShardedJobStore:
         except (sqlite3.OperationalError, JobStoreCorruptError) as exc:
             raise self._unavailable(index) from exc
 
-    def _each_usable(self) -> Iterator[int]:
+    def _gather(self, method: str, *args, **kwargs) -> List:
+        """One call on every reachable shard: the answers, in shard
+        order.  Degraded or failing shards are skipped; with no shard
+        answering, ``sqlite3.OperationalError`` (store pressure).
+        """
+        answers = []
         for index in range(self.n_shards):
-            if self._usable(index):
-                yield index
+            if not self._usable(index):
+                continue
+            try:
+                answers.append(self._call(index, method, *args, **kwargs))
+            except (sqlite3.OperationalError, JobStoreCorruptError):
+                continue
+        if not answers:
+            raise sqlite3.OperationalError(
+                f"all {self.n_shards} job-store shards are unavailable"
+            )
+        return answers
 
     # -- routing --------------------------------------------------------
 
@@ -491,21 +568,13 @@ class ShardedJobStore:
         return shard_for_key(artifact_key, self.n_shards)
 
     def _route(self, job_id: str) -> int:
-        """Home shard of a job id (tag parse, else probe the shards)."""
+        """Home shard of a job id: its tag, or shard 0 for the
+        untagged ids of a migrated single-file store (N = 1)."""
         match = _SHARD_ID_RE.match(job_id)
-        if match:
-            index = int(match.group(1))
-            if 0 <= index < self.n_shards:
-                return index
-        for index in self._each_usable():
-            try:
-                self._call(index, "get", job_id)
-                return index
-            except JobNotFound:
-                continue
-            except (sqlite3.OperationalError, JobStoreCorruptError):
-                continue
-        raise JobNotFound(job_id)
+        index = int(match.group(1)) if match else 0
+        if not 0 <= index < self.n_shards:
+            raise JobNotFound(job_id)
+        return index
 
     # -- intent journal -------------------------------------------------
 
@@ -605,16 +674,9 @@ class ShardedJobStore:
         quarantine_after: Optional[int] = None,
     ) -> List[str]:
         """Requeue expired leases on every reachable shard."""
-        recovered: List[str] = []
-        for index in self._each_usable():
-            try:
-                recovered.extend(self._call(
-                    index, "recover_orphans", now=now,
-                    quarantine_after=quarantine_after,
-                ))
-            except (sqlite3.OperationalError, JobStoreCorruptError):
-                continue
-        return recovered
+        return list(itertools.chain.from_iterable(self._gather(
+            "recover_orphans", now=now, quarantine_after=quarantine_after,
+        )))
 
     def release_worker(
         self,
@@ -623,16 +685,10 @@ class ShardedJobStore:
         quarantine_after: Optional[int] = None,
     ) -> List[str]:
         """Release a dead worker's jobs on every reachable shard."""
-        released: List[str] = []
-        for index in self._each_usable():
-            try:
-                released.extend(self._call(
-                    index, "release_worker", worker, now=now,
-                    quarantine_after=quarantine_after,
-                ))
-            except (sqlite3.OperationalError, JobStoreCorruptError):
-                continue
-        return released
+        return list(itertools.chain.from_iterable(self._gather(
+            "release_worker", worker, now=now,
+            quarantine_after=quarantine_after,
+        )))
 
     def note_worker_failure(
         self, job_id: str, worker: Optional[str]
@@ -706,17 +762,7 @@ class ShardedJobStore:
 
     def get(self, job_id: str) -> JobRecord:
         """Fetch one job from its home shard."""
-        match = _SHARD_ID_RE.match(job_id)
-        if match and 0 <= int(match.group(1)) < self.n_shards:
-            return self._scoped(int(match.group(1)), "get", job_id)
-        for index in self._each_usable():
-            try:
-                return self._call(index, "get", job_id)
-            except JobNotFound:
-                continue
-            except (sqlite3.OperationalError, JobStoreCorruptError):
-                continue
-        raise JobNotFound(job_id)
+        return self._scoped(self._route(job_id), "get", job_id)
 
     def list_jobs(self, state: Optional[str] = None) -> List[JobRecord]:
         """All jobs on reachable shards, oldest first."""
@@ -778,17 +824,10 @@ class ShardedJobStore:
         after = (
             self._decode_cursor(cursor) if cursor is not None else None
         )
-        per_shard = None if limit is None else limit + 1
-        merged: List[JobRecord] = []
-        for index in self._each_usable():
-            try:
-                records, _ = self._call(
-                    index, "page_jobs", state=state, limit=per_shard,
-                    after=after,
-                )
-            except (sqlite3.OperationalError, JobStoreCorruptError):
-                continue
-            merged.extend(records)
+        merged = list(itertools.chain.from_iterable(self._gather(
+            "list_jobs", state=state,
+            limit=None if limit is None else limit + 1, after=after,
+        )))
         merged.sort(key=lambda record: (record.created_at, record.id))
         if limit is None or len(merged) <= limit:
             return merged, None
@@ -809,11 +848,7 @@ class ShardedJobStore:
     def counts(self) -> Dict[str, int]:
         """Jobs per state summed over reachable shards."""
         totals = {job_state: 0 for job_state in JOB_STATES}
-        for index in self._each_usable():
-            try:
-                shard_counts = self._call(index, "counts")
-            except (sqlite3.OperationalError, JobStoreCorruptError):
-                continue
+        for shard_counts in self._gather("counts"):
             for job_state, count in shard_counts.items():
                 totals[job_state] += count
         return totals
@@ -834,11 +869,7 @@ class ShardedJobStore:
         from whichever row holds a live lease.
         """
         merged: Dict[str, WorkerRecord] = {}
-        for index in self._each_usable():
-            try:
-                workers = self._call(index, "list_workers")
-            except (sqlite3.OperationalError, JobStoreCorruptError):
-                continue
+        for workers in self._gather("list_workers"):
             for worker in workers:
                 prior = merged.get(worker.id)
                 if prior is None:
@@ -878,15 +909,7 @@ class ShardedJobStore:
         self, idle_seconds: float, now: Optional[float] = None
     ) -> int:
         """Prune idle registry rows on every reachable shard."""
-        pruned = 0
-        for index in self._each_usable():
-            try:
-                pruned += self._call(
-                    index, "prune_workers", idle_seconds, now=now
-                )
-            except (sqlite3.OperationalError, JobStoreCorruptError):
-                continue
-        return pruned
+        return sum(self._gather("prune_workers", idle_seconds, now=now))
 
     # -- health surface -------------------------------------------------
 
@@ -894,6 +917,19 @@ class ShardedJobStore:
         """Breaker snapshot of every shard (healthz / metrics feed)."""
         with self._lock:
             return [health.to_dict() for health in self._health]
+
+    def shard_health(self) -> Dict:
+        """The ``{"total", "degraded", "states"}`` block that healthz,
+        ``service_summary`` and ``repro status --shards`` report."""
+        states = self.shard_states()
+        return {
+            "total": self.n_shards,
+            "degraded": [
+                state["index"] for state in states
+                if state["state"] == "degraded"
+            ],
+            "states": states,
+        }
 
     def degraded_shards(self) -> List[int]:
         """Indices of shards whose circuit is currently open."""
@@ -938,14 +974,11 @@ def scrub_store(
     Returns a report dict; ``report["ok"]`` is the overall verdict.
     """
     root = Path(root)
-    n_shards = resolve_n_shards(root, shards)
+    n_shards = _adopt_layout(root, shards)
     artifact_keys = set(ArtifactStore(root / "artifacts").keys())
     report: Dict = {"n_shards": n_shards, "ok": True, "shards": []}
     for index in range(n_shards):
-        path = shard_db_path(root, index, n_shards)
-        journal = (
-            shard_journal_path(root, index) if n_shards > 1 else None
-        )
+        path = shard_db_path(root, index)
         entry: Dict = {
             "index": index,
             "path": str(path),
@@ -953,9 +986,7 @@ def scrub_store(
             "jobs": None,
             "findings": [],
         }
-        journaled = (
-            list(read_journal(journal)) if journal is not None else []
-        )
+        journaled = list(read_journal(shard_journal_path(root, index)))
         if not path.exists():
             if journaled:
                 entry["findings"].append(
@@ -1021,17 +1052,12 @@ def rebuild_shard(
     healthy shard is a no-op-shaped audit.
     """
     root = Path(root)
-    n_shards = resolve_n_shards(root, shards)
-    if n_shards < 2:
-        raise ServiceError(
-            "rebuild requires a sharded layout (n_shards >= 2); the "
-            "single store has no per-shard journal to replay"
-        )
+    n_shards = _adopt_layout(root, shards)
     if not 0 <= index < n_shards:
         raise ServiceError(
             f"shard index {index} out of range 0..{n_shards - 1}"
         )
-    path = shard_db_path(root, index, n_shards)
+    path = shard_db_path(root, index)
     report: Dict = {
         "shard": index,
         "path": str(path),

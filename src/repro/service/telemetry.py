@@ -17,7 +17,9 @@ The summary layout (all times in seconds)::
       "timing": {"solve_seconds_total": ..., "solve_seconds_mean": ...,
                  "solve_seconds_max": ..., "wall_seconds": ...,
                  "jobs_per_second": ...},
-      "queue": {"depth": 0, "oldest_waiting_seconds": null}
+      "queue": {"depth": 0, "oldest_waiting_seconds": null},
+      "fleet": {...},
+      "shards": {"total": 1, "degraded": [], "states": [...]}
     }
 """
 
@@ -29,12 +31,8 @@ from typing import Dict, Optional, Sequence
 from repro.obs.exporters import prometheus_text
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.service.artifacts import ArtifactStore
-from repro.service.jobstore import (
-    JOB_STATES,
-    JobRecord,
-    JobStore,
-    WorkerRecord,
-)
+from repro.service.jobstore import JOB_STATES, JobRecord, WorkerRecord
+from repro.service.shards import ShardedJobStore
 
 __all__ = [
     "service_summary",
@@ -53,7 +51,7 @@ def _round(value: Optional[float], digits: int = 4) -> Optional[float]:
 
 
 def service_summary(
-    store: JobStore,
+    store: ShardedJobStore,
     artifacts: Optional[ArtifactStore] = None,
     now: Optional[float] = None,
 ) -> Dict:
@@ -119,20 +117,10 @@ def service_summary(
             ),
         },
         "fleet": _fleet_summary(store.list_workers(), now=now),
+        "shards": store.shard_health(),
     }
     if artifacts is not None:
         summary["cache"].update(artifacts.stats())
-    shard_states = getattr(store, "shard_states", None)
-    if callable(shard_states):
-        states = shard_states()
-        summary["shards"] = {
-            "total": len(states),
-            "degraded": [
-                state["index"] for state in states
-                if state["state"] != "healthy"
-            ],
-            "states": states,
-        }
     return summary
 
 
@@ -153,7 +141,7 @@ def _fleet_summary(workers: Sequence[WorkerRecord], now: float) -> Dict:
 
 
 def prometheus_exposition(
-    store: JobStore,
+    store: ShardedJobStore,
     artifacts: Optional[ArtifactStore] = None,
     now: Optional[float] = None,
     registry: Optional[MetricsRegistry] = None,
@@ -216,22 +204,21 @@ def prometheus_exposition(
             "service_worker_heartbeat_lag_seconds",
             help="oldest worker heartbeat age",
         ).set(fleet["max_heartbeat_age_seconds"])
-    shards = summary.get("shards")
-    if shards is not None:
+    shards = summary["shards"]
+    derived.gauge(
+        "service_shards_total", help="job-store shard count"
+    ).set(shards["total"])
+    derived.gauge(
+        "service_shards_degraded",
+        help="shards whose circuit breaker is currently open",
+    ).set(len(shards["degraded"]))
+    # the registry has no label support, so per-shard liveness is one
+    # gauge per shard: repro_service_shard00_up 0|1
+    for state in shards["states"]:
         derived.gauge(
-            "service_shards_total", help="job-store shard count"
-        ).set(shards["total"])
-        derived.gauge(
-            "service_shards_degraded",
-            help="shards whose circuit breaker is currently open",
-        ).set(len(shards["degraded"]))
-        # the registry has no label support, so per-shard liveness is
-        # one gauge per shard: repro_service_shard00_up 0|1
-        for state in shards["states"]:
-            derived.gauge(
-                f"service_shard{state['index']:02d}_up",
-                help="1 while this shard's circuit is closed",
-            ).set(1 if state["state"] == "healthy" else 0)
+            f"service_shard{state['index']:02d}_up",
+            help="1 while this shard's circuit is closed",
+        ).set(1 if state["state"] == "healthy" else 0)
     text = prometheus_text(derived)
     process = prometheus_text(
         registry if registry is not None else get_metrics()

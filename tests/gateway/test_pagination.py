@@ -96,7 +96,15 @@ class TestStorePagination:
         ordered = [r.id for r in service.jobs_page()[0]]
         queued, cursor = service.jobs_page(state="queued", limit=2)
         assert [r.id for r in queued] == ordered[:2]
-        assert cursor == ordered[1]
+        # the composite cursor anchors on the last record; a plain job
+        # id (what pre-sharding clients hold) continues the same way
+        assert cursor.endswith("." + ordered[1])
+        for anchor in (cursor, ordered[1]):
+            rest, end = service.jobs_page(
+                state="queued", limit=2, cursor=anchor
+            )
+            assert [r.id for r in rest] == ordered[2:]
+            assert end is None
         done, _ = service.jobs_page(state="done")
         assert done == []
 
@@ -134,7 +142,9 @@ class TestHttpPagination:
             client = GatewayClient(gw.url, retry=NO_RETRY)
             page, cursor = client.jobs_page(limit=2)
             assert [r.id for r in page] == ids[:2]
-            assert cursor == ids[1]
+            assert cursor.endswith("." + ids[1])
+            page, _ = client.jobs_page(limit=2, cursor=cursor)
+            assert [r.id for r in page] == ids[2:4]
             assert [
                 r.id for r in client.iter_jobs(page_size=2)
             ] == ids

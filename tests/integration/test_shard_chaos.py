@@ -8,7 +8,7 @@ shards must complete; the gateway must answer the whole time with
 submits routed to the dead shard must get a scoped 503 with
 Retry-After; and after ``rebuild_shard`` + ``reset_shard`` the
 stranded jobs complete too — with every artifact's design document
-byte-identical to an unsharded run of the same specs.
+byte-identical to an N=1 run of the same specs.
 """
 
 import dataclasses
@@ -77,7 +77,7 @@ def canonical(design):
 def test_corrupted_shard_mid_run_completes_and_rebuilds(tmp_path):
     specs = [spec_with_seed(seed) for seed in range(6)]
 
-    # -- baseline: the same specs through an unsharded service --------
+    # -- baseline: the same specs through a default (N=1) service ----
     baseline = DecompositionService(
         tmp_path / "baseline", n_workers=2, policy=FAST_POLICY
     )
@@ -158,7 +158,7 @@ def test_corrupted_shard_mid_run_completes_and_rebuilds(tmp_path):
                 pool.stop()
 
         # -- rebuild the lost shard from journal + artifacts -----------
-        path = shard_db_path(root, victim, N_SHARDS)
+        path = shard_db_path(root, victim)
         for suffix in ("", "-wal", "-shm"):
             sidecar = path.with_name(path.name + suffix)
             if sidecar.exists():
@@ -180,7 +180,7 @@ def test_corrupted_shard_mid_run_completes_and_rebuilds(tmp_path):
         finally:
             pool.stop()
 
-    # -- every artifact byte-identical to the unsharded run ------------
+    # -- every artifact byte-identical to the N=1 run -----------------
     sharded_designs = {}
     for job in service.jobs():
         assert job.state == "done"

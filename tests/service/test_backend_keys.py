@@ -133,7 +133,7 @@ class TestRetiredBackendRows:
         assert loaded.spec.config.solver.backend == "numpy64"
         assert loaded.artifact_key == "a" * 64
         assert [r.id for r in store.list_jobs()] == [job.id]
-        page, _ = store.page_jobs(limit=10)
+        page = store.list_jobs(limit=10, after=(0.0, ""))
         assert [r.id for r in page] == [job.id]
         claimed = store.claim("w0", lease_seconds=30.0, now=101.0)
         assert claimed.id == job.id

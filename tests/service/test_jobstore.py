@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import JobNotFound, ServiceError
-from repro.service import JobSpec, JobStore
+from repro.service import JobSpec, JobStore, open_job_store
 
 
 KEY_A = "a" * 64
@@ -145,9 +145,10 @@ class TestInspection:
         assert store.pending() == 2
         assert running is not None
 
-    def test_list_jobs_filter_validated(self, store):
+    def test_list_jobs_filter_validated(self, tmp_path):
+        # the store front validates; JobStore is its per-shard engine
         with pytest.raises(ServiceError, match="unknown job state"):
-            store.list_jobs("zombie")
+            open_job_store(tmp_path / "svc").list_jobs("zombie")
 
     def test_get_unknown_job(self, store):
         with pytest.raises(JobNotFound):

@@ -1,22 +1,37 @@
-"""Sharded job store: routing, fault domains, scrub/rebuild.
+"""Sharded job store: layout, routing, fault domains, scrub/rebuild.
 
-Covers the shard hash and on-disk layout (N=1 must stay byte-level
-identical to the single-store world), cross-shard claims by concurrent
-workers, single-flight dedup on the home shard, the per-shard circuit
-breaker (trip on repeated failures, half-open probe, recovery), keyset
-pagination that stays stable while a shard is degraded, the quarantine
-schema migration applied per shard, and the intent-journal-based
-scrub/rebuild path.
+Covers the shard hash and the one on-disk layout (every N >= 1 writes
+a manifest, shard files and journals), the one-time migration of a
+legacy single-file ``jobs.sqlite3`` to shard 0, cross-shard claims by
+concurrent workers, single-flight dedup on the home shard, the
+per-shard circuit breaker (trip on repeated failures, half-open probe,
+recovery), keyset pagination that stays stable while a shard is
+degraded, the quarantine schema migration applied per shard, and the
+intent-journal-based scrub/rebuild path (N = 1 included).
 """
 
 import json
 import sqlite3
+import threading
 
 import pytest
 
-from repro.errors import ServiceError, ShardUnavailableError
+from repro.cli import main
+from repro.errors import (
+    JobNotFound,
+    JobStoreCorruptError,
+    ServiceError,
+    ShardUnavailableError,
+)
+from repro.gateway import (
+    DecompositionGateway,
+    GatewayClient,
+    GatewayConfig,
+)
 from repro.resilience import FaultPlan, FaultRule, fault_injection
 from repro.service import (
+    ArtifactStore,
+    DecompositionService,
     JobSpec,
     JobStore,
     Scheduler,
@@ -27,7 +42,9 @@ from repro.service import (
     scrub_store,
     shard_for_key,
 )
+from repro.service import shards as shards_module
 from repro.service.shards import (
+    LEGACY_DB_NAME,
     read_journal,
     resolve_n_shards,
     shard_db_path,
@@ -65,19 +82,29 @@ class TestLayout:
         for n in (2, 3, 8):
             assert 0 <= shard_for_key(key, n) < n
 
-    def test_n1_layout_is_the_plain_single_store(self, tmp_path):
-        store = open_job_store(tmp_path, shards=1)
-        assert isinstance(store, JobStore)
-        assert (tmp_path / "jobs.sqlite3").exists()
-        # no manifest, no journals — byte-identical to the old layout
-        assert not (tmp_path / "shards.json").exists()
-        assert not list(tmp_path.glob("*.journal.jsonl"))
+    def test_default_layout_is_one_shard(self, tmp_path, spec):
+        store = open_job_store(tmp_path)
+        assert isinstance(store, ShardedJobStore)
+        assert store.n_shards == 1
+        assert json.loads(
+            (tmp_path / "shards.json").read_text()
+        )["n_shards"] == 1
+        assert shard_db_path(tmp_path, 0).exists()
+        assert not (tmp_path / LEGACY_DB_NAME).exists()
+        job = store.submit(spec, key_for_shard(0, 1), now=100.0)
+        assert job.id.startswith("job-s00-")
+        assert [r["op"] for r in read_journal(
+            shard_journal_path(tmp_path, 0)
+        )] == ["submit"]
+        assert store.shard_health() == {
+            "total": 1, "degraded": [], "states": store.shard_states(),
+        }
 
     def test_sharded_layout_and_manifest(self, tmp_path):
         store = open_job_store(tmp_path, shards=3)
         assert isinstance(store, ShardedJobStore)
         for i in range(3):
-            assert shard_db_path(tmp_path, i, 3).exists()
+            assert shard_db_path(tmp_path, i).exists()
         manifest = json.loads((tmp_path / "shards.json").read_text())
         assert manifest["n_shards"] == 3
 
@@ -93,9 +120,9 @@ class TestLayout:
             open_job_store(tmp_path, shards=5)
         assert resolve_n_shards(tmp_path) == 3
 
-    def test_sharding_an_unsharded_directory_is_refused(self, tmp_path):
-        open_job_store(tmp_path, shards=1)
-        with pytest.raises(ServiceError, match="unsharded"):
+    def test_one_shard_directory_is_not_resharded(self, tmp_path):
+        open_job_store(tmp_path)
+        with pytest.raises(ServiceError, match="reshard"):
             open_job_store(tmp_path, shards=4)
 
 
@@ -106,21 +133,30 @@ class TestRouting:
         key = key_for_shard(2, 3)
         job = store.submit(spec, key, now=100.0)
         assert job.id.startswith("job-s02-")
-        with sqlite3.connect(shard_db_path(tmp_path, 2, 3)) as conn:
+        with sqlite3.connect(shard_db_path(tmp_path, 2)) as conn:
             rows = conn.execute("SELECT id FROM jobs").fetchall()
         assert rows == [(job.id,)]
         assert store.get(job.id).artifact_key == key
 
-    def test_untagged_legacy_id_routes_by_probing(self, store, spec):
-        job = store.submit(spec, key_for_shard(1, 3), now=100.0)
-        # simulate a legacy row: rewrite the id to an untagged form
-        legacy = "job-0123456789ab"
-        with sqlite3.connect(store._paths[1]) as conn:
-            conn.execute(
-                "UPDATE jobs SET id = ? WHERE id = ?", (legacy, job.id)
-            )
-            conn.commit()
-        assert store.get(legacy).artifact_key == job.artifact_key
+    def test_migrated_legacy_id_resolves_on_shard_zero(
+        self, tmp_path, spec
+    ):
+        legacy = JobStore(tmp_path / LEGACY_DB_NAME)
+        job = legacy.submit(spec, "a" * 64, now=100.0)
+        assert job.id.startswith("job-") and "-s00-" not in job.id
+        del legacy
+        store = open_job_store(tmp_path)
+        assert store.get(job.id).artifact_key == "a" * 64
+        assert store.claim("w", 30.0, now=101.0).id == job.id
+        store.complete(job.id, med=0.5, runtime_seconds=1.0, now=102.0)
+        assert store.get(job.id).state == "done"
+        assert [r["op"] for r in read_journal(
+            shard_journal_path(tmp_path, 0)
+        )] == ["submit", "done"]
+
+    def test_out_of_range_tag_is_not_found(self, store):
+        with pytest.raises(JobNotFound):
+            store.get("job-s07-0123456789ab")
 
     def test_dedup_twin_keys_meet_on_one_shard(self, store, spec):
         key = key_for_shard(0, 3)
@@ -268,6 +304,55 @@ class TestCircuitBreaker:
         assert store.degraded_shards() == []
 
 
+class TestWholeStoreDown:
+    """N = 1 with its only shard corrupt: the store opens degraded and
+    every surface says so instead of failing at open."""
+
+    def corrupt_one_shard_directory(self, tmp_path, spec):
+        open_job_store(tmp_path).submit(spec, "a" * 64, now=100.0)
+        path = shard_db_path(tmp_path, 0)
+        for suffix in ("-wal", "-shm"):
+            sidecar = path.with_name(path.name + suffix)
+            if sidecar.exists():
+                sidecar.unlink()
+        path.write_bytes(b"scribbled over by a failing disk")
+
+    def test_aggregates_raise_store_pressure(self, tmp_path, spec):
+        self.corrupt_one_shard_directory(tmp_path, spec)
+        store = open_job_store(tmp_path)
+        assert store.shard_health()["degraded"] == [0]
+        for call in (store.pending, store.list_jobs, store.list_workers,
+                     store.recover_orphans):
+            with pytest.raises(sqlite3.OperationalError, match="all 1"):
+                call()
+
+    def test_healthz_reports_degraded(self, tmp_path, spec):
+        self.corrupt_one_shard_directory(tmp_path, spec)
+        service = DecompositionService(tmp_path)
+        with DecompositionGateway(service, GatewayConfig(port=0)) as gw:
+            health = GatewayClient(gw.url).healthz()
+        assert health["status"] == "degraded"
+        assert health["pending"] is None
+        assert health["shards"]["degraded"] == [0]
+
+    def test_cli_reports_instead_of_crashing(
+        self, tmp_path, spec, capsys
+    ):
+        self.corrupt_one_shard_directory(tmp_path, spec)
+        assert main(["status", "--service-dir", str(tmp_path)]) == 1
+        assert "job store unavailable" in capsys.readouterr().err
+        assert main(
+            ["status", "--service-dir", str(tmp_path), "--shards"]
+        ) == 3
+        assert main(["admin", "scrub", "--service-dir",
+                     str(tmp_path)]) == 3
+        assert main(["admin", "rebuild", "--service-dir", str(tmp_path),
+                     "--shard", "0"]) == 0
+        assert main(["admin", "scrub", "--service-dir",
+                     str(tmp_path)]) == 0
+        assert open_job_store(tmp_path).counts()["queued"] == 1
+
+
 class TestPaginationWhileDegraded:
     def test_pages_stay_stable_when_a_shard_trips(
         self, tmp_path, spec, chaos_seed
@@ -343,7 +428,7 @@ class TestShardedMigration:
         # lay out the sharded directory, then regress shard 1 to the
         # pre-quarantine schema with one live row in it
         open_job_store(tmp_path, shards=3)
-        path = shard_db_path(tmp_path, 1, 3)
+        path = shard_db_path(tmp_path, 1)
         path.unlink()
         old_id = "job-s01-00000000dead"
         with sqlite3.connect(path) as conn:
@@ -374,6 +459,186 @@ class TestShardedMigration:
         assert store.get(old_id).state == "quarantined"
 
 
+def make_legacy_directory(root, spec):
+    """A pre-manifest service directory: one ``jobs.sqlite3`` holding
+    untagged ids in all five states — the running one leased, with a
+    checkpoint in the artifact store."""
+    legacy = JobStore(root / LEGACY_DB_NAME)
+    artifacts = ArtifactStore(root / "artifacts")
+    keys = [f"{i:02x}" * 32 for i in range(5)]
+    jobs = [
+        legacy.submit(spec, key, now=100.0 + i)
+        for i, key in enumerate(keys)
+    ]
+    for i, job in enumerate(jobs[:4]):
+        assert legacy.claim(f"w{i}", 30.0, now=110.0 + i).id == job.id
+    legacy.complete(jobs[0].id, med=0.25, runtime_seconds=2.0,
+                    now=120.0)
+    artifacts.put(keys[0], {"luts": []})
+    legacy.fail(jobs[1].id, "boom", now=121.0)
+    legacy.quarantine(jobs[2].id, "poison", now=122.0)
+    legacy.heartbeat(jobs[3].id, 600.0, now=123.0)
+    artifacts.put_checkpoint(keys[3], {"round": 1})
+    records = legacy.list_jobs()
+    assert [r.state for r in records] == [
+        "done", "failed", "quarantined", "running", "queued",
+    ]
+    assert all("-s00-" not in r.id for r in records)
+    return records
+
+
+class TestLegacyMigration:
+    def test_migration_keeps_every_record(self, tmp_path, spec):
+        legacy = make_legacy_directory(tmp_path, spec)
+        store = open_job_store(tmp_path)
+        assert store.n_shards == 1
+        assert store.list_jobs() == legacy  # field for field
+        # the legacy file and its WAL sidecars are gone, nothing stranded
+        assert not list(tmp_path.glob(LEGACY_DB_NAME + "*"))
+        assert shard_db_path(tmp_path, 0).exists()
+        assert resolve_n_shards(tmp_path) == 1
+        running = store.get(legacy[3].id)
+        assert running.lease_expires == pytest.approx(723.0)
+        assert ArtifactStore(tmp_path / "artifacts").get_checkpoint(
+            running.artifact_key
+        ) == {"round": 1}
+        ops = [
+            (r["op"], r["id"])
+            for r in read_journal(shard_journal_path(tmp_path, 0))
+        ]
+        assert ops == [
+            ("submit", legacy[0].id), ("done", legacy[0].id),
+            ("submit", legacy[1].id), ("failed", legacy[1].id),
+            ("submit", legacy[2].id), ("quarantined", legacy[2].id),
+            ("submit", legacy[3].id),
+            ("submit", legacy[4].id),
+        ]
+
+    def test_backfill_writes_the_fields_live_appends_write(
+        self, tmp_path, spec
+    ):
+        make_legacy_directory(tmp_path / "old", spec)
+        open_job_store(tmp_path / "old")
+        live = open_job_store(tmp_path / "new")
+        for i, finish in enumerate(("complete", "fail", "quarantine")):
+            job = live.submit(spec, f"{i:02x}" * 32, now=100.0 + i)
+            live.claim("w", 30.0, now=110.0)
+            if finish == "complete":
+                live.complete(job.id, med=0.25, runtime_seconds=2.0)
+            else:
+                getattr(live, finish)(job.id, "boom")
+
+        def fields(root):
+            return {
+                record["op"]: sorted(record)
+                for record in read_journal(shard_journal_path(root, 0))
+            }
+
+        assert fields(tmp_path / "old") == fields(tmp_path / "new")
+
+    def test_second_open_is_a_no_op(self, tmp_path, spec):
+        legacy = make_legacy_directory(tmp_path, spec)
+        open_job_store(tmp_path)
+        snapshot = {
+            path.name: path.read_bytes()
+            for path in (
+                tmp_path / "shards.json", shard_journal_path(tmp_path, 0)
+            )
+        }
+        reopened = open_job_store(tmp_path)
+        assert reopened.list_jobs() == legacy
+        for name, data in snapshot.items():
+            assert (tmp_path / name).read_bytes() == data
+
+    def test_concurrent_opens_migrate_once(self, tmp_path, spec):
+        legacy = make_legacy_directory(tmp_path, spec)
+        n_threads = 4  # more openers than cores
+        barrier = threading.Barrier(n_threads)
+        opened, errors = [], []
+
+        def open_it():
+            barrier.wait(timeout=30)
+            try:
+                opened.append(open_job_store(tmp_path))
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=open_it) for _ in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert len(opened) == n_threads
+        for store in opened:
+            assert store.list_jobs() == legacy
+        submits = [
+            r["id"] for r in read_journal(shard_journal_path(tmp_path, 0))
+            if r["op"] == "submit"
+        ]
+        assert submits == [r.id for r in legacy]
+        assert sorted(p.name for p in tmp_path.glob("jobs*.sqlite3")) == [
+            "jobs-00.sqlite3"
+        ]
+
+    def test_corrupt_legacy_file_raises_and_stays(self, tmp_path):
+        legacy = tmp_path / LEGACY_DB_NAME
+        legacy.write_bytes(b"not a database, just a damaged disk block")
+        with pytest.raises(JobStoreCorruptError):
+            open_job_store(tmp_path)
+        assert legacy.read_bytes().startswith(b"not a database")
+        assert not (tmp_path / "shards.json").exists()
+        assert not shard_db_path(tmp_path, 0).exists()
+        assert not shard_journal_path(tmp_path, 0).exists()
+
+    def test_crash_before_the_manifest_reopens_cleanly(
+        self, tmp_path, spec, monkeypatch
+    ):
+        legacy = make_legacy_directory(tmp_path, spec)
+
+        def crash(root, n_shards):
+            raise RuntimeError("simulated crash before the manifest")
+
+        monkeypatch.setattr(shards_module, "_write_manifest", crash)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            open_job_store(tmp_path)
+        monkeypatch.undo()
+        assert not (tmp_path / LEGACY_DB_NAME).exists()
+        assert shard_db_path(tmp_path, 0).exists()
+        assert not (tmp_path / "shards.json").exists()
+        # the half-migrated directory is an N=1 layout, whatever the
+        # reopening command asks for
+        with pytest.raises(ServiceError, match="reshard"):
+            open_job_store(tmp_path, shards=4)
+        assert open_job_store(tmp_path).list_jobs() == legacy
+        submits = [
+            r for r in read_journal(shard_journal_path(tmp_path, 0))
+            if r["op"] == "submit"
+        ]
+        assert len(submits) == len(legacy)
+
+    def test_migrated_store_rebuilds_from_its_backfilled_journal(
+        self, tmp_path, spec
+    ):
+        legacy = make_legacy_directory(tmp_path, spec)
+        open_job_store(tmp_path)
+        shard_db_path(tmp_path, 0).unlink()
+        report = rebuild_shard(tmp_path, 0)
+        assert report["restored"] == len(legacy)
+        assert report["terminal_from_journal"] == 3
+        rebuilt = {job.id: job for job in open_job_store(tmp_path)
+                   .list_jobs()}
+        for job in legacy:
+            assert rebuilt[job.id].artifact_key == job.artifact_key
+            expected = "queued" if job.state == "running" else job.state
+            assert rebuilt[job.id].state == expected
+        assert rebuilt[legacy[0].id].med == pytest.approx(0.25)
+        assert scrub_store(tmp_path)["ok"]
+
+
 class TestJournalScrubRebuild:
     def test_submit_and_terminal_ops_are_journaled(
         self, store, spec, tmp_path
@@ -398,7 +663,7 @@ class TestJournalScrubRebuild:
     def test_scrub_flags_garbage_shard(self, store, spec, tmp_path):
         store.submit(spec, key_for_shard(1, 3), now=100.0)
         del store
-        path = shard_db_path(tmp_path, 1, 3)
+        path = shard_db_path(tmp_path, 1)
         # take the WAL sidecars with the main file, otherwise SQLite's
         # own WAL recovery quietly undoes the simulated disk loss
         for suffix in ("-wal", "-shm"):
@@ -418,7 +683,7 @@ class TestJournalScrubRebuild:
     ):
         job = store.submit(spec, key_for_shard(0, 3), now=100.0)
         del store
-        path = shard_db_path(tmp_path, 0, 3)
+        path = shard_db_path(tmp_path, 0)
         with sqlite3.connect(path) as conn:
             conn.execute("DELETE FROM jobs WHERE id = ?", (job.id,))
             conn.commit()
@@ -441,7 +706,7 @@ class TestJournalScrubRebuild:
         store.complete(done.id, med=0.25, runtime_seconds=1.0, now=103.0)
         del store
 
-        path = shard_db_path(tmp_path, 1, 3)
+        path = shard_db_path(tmp_path, 1)
         path.write_bytes(b"scribbled over by a failing disk")
         report = rebuild_shard(tmp_path, 1)
         assert report["backed_up"] == str(path) + ".corrupt"
@@ -461,10 +726,42 @@ class TestJournalScrubRebuild:
         assert after["jobs"] == 2
         assert all("artifact" in f for f in after["findings"])
 
-    def test_rebuild_refuses_single_store(self, tmp_path):
-        open_job_store(tmp_path, shards=1)
-        with pytest.raises(ServiceError):
-            rebuild_shard(tmp_path, 0)
+    def test_one_shard_rebuild_after_losing_the_file(
+        self, tmp_path, spec
+    ):
+        store = open_job_store(tmp_path)
+        artifacts = ArtifactStore(tmp_path / "artifacts")
+        jobs = [
+            store.submit(spec, f"{i:02x}" * 32, now=100.0 + i)
+            for i in range(3)
+        ]
+        store.claim("w", 30.0, now=110.0)
+        store.complete(jobs[0].id, med=0.5, runtime_seconds=1.0)
+        artifacts.put(jobs[0].artifact_key, {"luts": []})
+        artifacts.put(jobs[1].artifact_key, {"luts": []})
+        del store
+        path = shard_db_path(tmp_path, 0)
+        for victim in (path, path.with_name(path.name + "-wal"),
+                       path.with_name(path.name + "-shm")):
+            if victim.exists():
+                victim.unlink()
+        assert not scrub_store(tmp_path)["ok"]
+
+        report = rebuild_shard(tmp_path, 0)
+        assert report["backed_up"] is None
+        assert report["restored"] == 3
+        assert report["terminal_from_journal"] == 1
+        assert report["done_from_artifact"] == 1
+        assert report["requeued"] == 1
+        after = scrub_store(tmp_path)
+        assert after["ok"] and after["shards"][0]["jobs"] == 3
+        rebuilt = open_job_store(tmp_path)
+        assert [job.id for job in rebuilt.list_jobs()] == [
+            job.id for job in jobs
+        ]
+        assert [job.state for job in rebuilt.list_jobs()] == [
+            "done", "done", "queued",
+        ]
 
     def test_reset_shard_reopens_after_offline_repair(
         self, tmp_path, spec, chaos_seed
